@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-diff test test-backends regression sim-sweep fuzz-smoke race-sim check bench bench-pr4 bench-pr9 bench-all verify
+.PHONY: build vet lint lint-diff test perf-test test-backends regression sim-sweep fuzz-smoke race-sim check bench bench-pr4 bench-pr9 bench-all verify
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ lint-diff:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness under mvperf/ is a nested Go module, so the
+# root module's `go test ./...` never reaches its tests.
+perf-test:
+	cd mvperf && $(GO) vet . && $(GO) test .
 
 # Durability across the physical backend matrix: the recovery and
 # conformance suites (which already subtest fs + mem) re-run pinned,

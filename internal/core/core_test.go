@@ -456,57 +456,6 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
-func TestBackfill(t *testing.T) {
-	h := newHarness(t, core.Options{}, 4)
-	if err := h.c.CreateTable("ticket"); err != nil {
-		t.Fatal(err)
-	}
-	// Populate the base table before the view exists.
-	co := h.c.Coordinator(0)
-	base := map[string]model.Row{}
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("%d", i)
-		assignee := fmt.Sprintf("user-%d", i%4)
-		updates := []model.ColumnUpdate{
-			model.Update("assignedto", []byte(assignee), int64(i+1)),
-			model.Update("status", []byte("open"), int64(i+1)),
-		}
-		if err := co.Put(ctxT(t), "ticket", id, updates, 3); err != nil {
-			t.Fatal(err)
-		}
-		base[id] = model.Row{
-			"assignedto": {Value: []byte(assignee), TS: int64(i + 1)},
-			"status":     {Value: []byte("open"), TS: int64(i + 1)},
-		}
-	}
-	def := ticketDef()
-	if err := h.c.CreateTable(def.Name); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.reg.Define(def); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := h.reg.View(def.Name)
-	if err := core.Backfill(ctxT(t), co, d, base, 2); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 4; u++ {
-		rows := getView(t, h.mgrs[1], "assignedto", fmt.Sprintf("user-%d", u))
-		if len(rows) != 5 {
-			t.Fatalf("user-%d has %d rows, want 5", u, len(rows))
-		}
-	}
-	// Updates over backfilled rows propagate normally.
-	if err := h.mgrs[0].Put(ctxT(t), "ticket", "0",
-		[]model.ColumnUpdate{model.Update("assignedto", []byte("user-9"), 100)}, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	h.quiesce(t)
-	if rows := getView(t, h.mgrs[0], "assignedto", "user-9"); len(rows) != 1 || rows[0].BaseKey != "0" {
-		t.Fatalf("update over backfilled row failed: %v", rows)
-	}
-}
-
 func TestMergeBaseSnapshots(t *testing.T) {
 	h := newHarness(t, core.Options{}, 4)
 	mustDefine(t, h, ticketDef())

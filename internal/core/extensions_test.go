@@ -172,22 +172,34 @@ func TestPruneRemovesOldStaleRows(t *testing.T) {
 		}
 	}
 	d, _ := h.reg.View("assignedto")
-	countStale := func() int {
+	// countStale also counts the rows carrying a redo intent (ColPrev),
+	// which must never be decoded as materialized data, and checks
+	// that every pruned row lost its redo intent with its pointer.
+	countStale := func() (stale, withPrev int) {
 		t.Helper()
 		vrows, err := core.DecodeVersionedView(h.viewEntries("assignedto"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stale := 0
 		for _, vr := range vrows {
+			if _, ok := vr.Cells[core.ColPrev]; ok {
+				t.Fatalf("row %q: redo intent decoded as a materialized cell", vr.ViewKey)
+			}
+			if !vr.Prev.IsNull() {
+				withPrev++
+			}
+			if vr.Next.Tombstone && !vr.Prev.IsNull() {
+				t.Fatalf("pruned row %q kept its redo intent %v", vr.ViewKey, vr.Prev)
+			}
 			if !vr.Next.IsNull() && !vr.Next.Tombstone && string(vr.Next.Value) != vr.ViewKey {
 				stale++
 			}
 		}
-		return stale
+		return stale, withPrev
 	}
-	if got := countStale(); got != moves-1+1 { // moves-1 superseded keys + 1 anchor
-		t.Fatalf("pre-prune stale rows = %d", got)
+	// Every promotion but the creating first one recorded its origin.
+	if stale, withPrev := countStale(); stale != moves-1+1 || withPrev != moves-1 { // moves-1 superseded keys + 1 anchor
+		t.Fatalf("pre-prune stale rows = %d, rows with a redo intent = %d", stale, withPrev)
 	}
 	// Horizon excludes the last two supersessions (pointer ts 9, 10).
 	removed, err := core.Prune(ctxT(t), h.c.Coordinator(0), d, h.viewEntries("assignedto"), 9, 2)
@@ -197,7 +209,7 @@ func TestPruneRemovesOldStaleRows(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("nothing pruned")
 	}
-	after := countStale()
+	after, _ := countStale()
 	if after >= moves {
 		t.Fatalf("stale rows after prune = %d", after)
 	}
@@ -302,6 +314,15 @@ func TestRebuildRecoversLostPropagations(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("ticket 5 missing after rebuild")
+	}
+	// Updates over rebuilt rows propagate normally.
+	if err := h.mgrs[1].Put(ctxT(t), "ticket", "1",
+		[]model.ColumnUpdate{model.Update("assignedto", []byte("user-9"), 600)}, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	h.quiesce(t)
+	if rows := getView(t, h.mgrs[0], "assignedto", "user-9"); len(rows) != 1 || rows[0].BaseKey != "1" {
+		t.Fatalf("update over rebuilt row lost: %v", rows)
 	}
 	// Structure must be sound afterwards.
 	vrows, err := core.DecodeVersionedView(h.viewEntries("assignedto"))

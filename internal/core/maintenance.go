@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"vstore/internal/coord"
 	"vstore/internal/model"
@@ -62,6 +64,9 @@ func Prune(ctx context.Context, co *coord.Coordinator, def *Def, entries []model
 		if r.Ready.Exists() {
 			updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, ColReady), maxTS(r.Ready.TS, r.Next.TS)))
 		}
+		if r.Prev.Exists() {
+			updates = append(updates, model.Deletion(model.Qualify(r.BaseKey, ColPrev), maxTS(r.Prev.TS, r.Next.TS)))
+		}
 		if err := co.Put(ctx, def.Name, r.ViewKey, updates, w); err != nil {
 			return removed, fmt.Errorf("core: pruning %q/%q: %w", r.ViewKey, r.BaseKey, err)
 		}
@@ -78,7 +83,7 @@ func maxTS(a, b int64) int64 {
 }
 
 // Rebuild re-derives a view from the merged current base-table state:
-// it re-writes every row the view should contain (like Backfill) and
+// it re-writes every row the view should contain and
 // marks rows for base keys whose view structure points at a different
 // live key than the base table implies. Because every write carries
 // the base cells' timestamps, rebuilding never regresses data that is
@@ -92,8 +97,8 @@ func maxTS(a, b int64) int64 {
 // view key get their deletion marker refreshed.
 func Rebuild(ctx context.Context, co *coord.Coordinator, def *Def, baseRows map[string]model.Row, viewEntries []model.Entry, w int) error {
 	// First, the straightforward part: ensure every row that should be
-	// in the view is present and live (idempotent Backfill).
-	if err := Backfill(ctx, co, def, baseRows, w); err != nil {
+	// in the view is present and live (idempotent).
+	if err := writeLiveRows(ctx, co, def, baseRows, w); err != nil {
 		return err
 	}
 
@@ -120,7 +125,7 @@ func Rebuild(ctx context.Context, co *coord.Coordinator, def *Def, baseRows map[
 		switch {
 		case vk.Exists() && !vk.Tombstone && string(vk.Value) != r.ViewKey && vk.TS >= r.Next.TS:
 			// Base says the live key moved: point this row at the
-			// winner (Backfill above already wrote the winner's row).
+			// winner (writeLiveRows above already wrote the winner's row).
 			err := co.Put(ctx, def.Name, r.ViewKey, []model.ColumnUpdate{
 				{Column: model.Qualify(r.BaseKey, ColNext), Cell: model.Cell{Value: vk.Value, TS: vk.TS}},
 			}, w) // r.BaseKey is the stored key, already namespaced
@@ -215,4 +220,105 @@ func Diagnose(entries []model.Entry) (Diagnostics, error) {
 		}
 	}
 	return d, nil
+}
+
+// writeLiveRows writes, for every base row, the view row its current
+// state implies (the paper's V̂0, which "contains no stale rows"):
+// live and ready, plus its chain anchor, so that subsequent update
+// propagation finds the rows no matter which pre-image versions it
+// collected. baseRows is the merged base-table content, base key →
+// cells. Rows are written with bounded parallelism; the first error
+// aborts the fill.
+func writeLiveRows(ctx context.Context, co *coord.Coordinator, def *Def, baseRows map[string]model.Row, w int) error {
+	const parallelism = 128
+	sem := make(chan struct{}, parallelism)
+	var wg sync.WaitGroup
+	var firstErr atomic.Value
+	for baseKey, row := range baseRows {
+		if firstErr.Load() != nil {
+			break
+		}
+		baseKey, row := baseKey, row
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := writeLiveRow(ctx, co, def, baseKey, row, w); err != nil {
+				firstErr.CompareAndSwap(nil, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err, ok := firstErr.Load().(error); ok {
+		return err
+	}
+	return nil
+}
+
+// writeLiveRow writes the live view row and chain anchor of one base
+// row.
+func writeLiveRow(ctx context.Context, co *coord.Coordinator, def *Def, baseKey string, row model.Row, w int) error {
+	vk, ok := row[def.ViewKeyColumn]
+	if !ok || vk.IsNull() {
+		return nil
+	}
+	viewKey := string(vk.Value)
+	ts := vk.TS
+	stored := def.storedKey(baseKey)
+	updates := []model.ColumnUpdate{
+		{Column: model.Qualify(stored, ColBase), Cell: model.Cell{Value: []byte(baseKey), TS: ts}},
+		{Column: model.Qualify(stored, ColNext), Cell: model.Cell{Value: []byte(viewKey), TS: ts}},
+		{Column: model.Qualify(stored, ColReady), Cell: model.Cell{Value: []byte("1"), TS: ts}},
+	}
+	if def.Selects(viewKey) {
+		for _, c := range def.Materialized {
+			if cell, ok := row[c]; ok && cell.Exists() {
+				// Dots stay on base cells; view copies are derived state,
+				// not causal events (see Propagator.viewPut).
+				cell.StripDot()
+				updates = append(updates, model.ColumnUpdate{Column: model.Qualify(stored, c), Cell: cell})
+			}
+		}
+	}
+	if err := co.Put(ctx, def.Name, viewKey, updates, w); err != nil {
+		return fmt.Errorf("core: rebuild of %q row %q: %w", def.Name, baseKey, err)
+	}
+	// Chain anchor, so creations racing with rebuilt rows still
+	// resolve (see nullRowKey).
+	anchor := []model.ColumnUpdate{
+		{Column: model.Qualify(stored, ColBase), Cell: model.Cell{Value: []byte(baseKey), TS: ts}},
+		{Column: model.Qualify(stored, ColNext), Cell: model.Cell{Value: []byte(viewKey), TS: ts}},
+	}
+	if err := co.Put(ctx, def.Name, nullRowKey(stored), anchor, w); err != nil {
+		return fmt.Errorf("core: rebuild anchor of %q row %q: %w", def.Name, baseKey, err)
+	}
+	return nil
+}
+
+// MergeBaseSnapshots folds per-node storage snapshots of a base table
+// into the base key → cells map Rebuild consumes. Entries are
+// LWW-merged, so feeding every replica's snapshot yields the freshest
+// cluster-wide state.
+func MergeBaseSnapshots(snapshots ...[]model.Entry) (map[string]model.Row, error) {
+	out := map[string]model.Row{}
+	for _, snap := range snapshots {
+		for _, e := range snap {
+			baseKey, col, err := model.DecodeKey(e.Key)
+			if err != nil {
+				return nil, fmt.Errorf("core: bad base entry: %w", err)
+			}
+			row := out[baseKey]
+			if row == nil {
+				row = model.Row{}
+				out[baseKey] = row
+			}
+			if old, ok := row[col]; ok {
+				row[col] = model.Merge(old, e.Cell)
+			} else {
+				row[col] = e.Cell
+			}
+		}
+	}
+	return out, nil
 }

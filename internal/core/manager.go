@@ -18,8 +18,9 @@ import (
 // of a cluster share one Registry, which carries the view catalog and
 // the propagation concurrency control.
 type Manager struct {
-	reg *Registry
-	co  *coord.Coordinator
+	reg  *Registry
+	co   *coord.Coordinator
+	prop *Propagator
 
 	pendMu  sync.Mutex
 	pending int
@@ -68,6 +69,9 @@ type Stats struct {
 	NoOps atomic.Int64
 	// ChainHops counts stale rows traversed by GetLiveKey.
 	ChainHops atomic.Int64
+	// Compressions counts stale pointers rewritten by path
+	// compression.
+	Compressions atomic.Int64
 	// BatchedLookups counts prefetch rounds that resolved several
 	// chain start keys with a single MultiGet round trip.
 	BatchedLookups atomic.Int64
@@ -86,6 +90,7 @@ type Stats struct {
 // NewManager returns a view manager bound to one coordinator.
 func NewManager(reg *Registry, co *coord.Coordinator) *Manager {
 	m := &Manager{reg: reg, co: co}
+	m.prop = NewPropagator(coordQuorum{co}, reg.opts, &m.stats, &reg.obs.ChainLen)
 	if n := reg.opts.MaxPendingPropagations; n > 0 {
 		m.slots = make(chan struct{}, n)
 	}
@@ -380,8 +385,8 @@ func (m *Manager) scheduleLate(ctx context.Context, table, row string, updates [
 // pool re-read at majority and NULL-seeded), so racing duplicate
 // backfills of the same key and concurrent live propagations serialize
 // on the per-row lock service and converge by LWW — a backfill write
-// that loses the race degrades into a stale-chain insert stamped below
-// the live row's timestamps, exactly what path compression would later
+// that loses the race degrades into a stale-chain insert stamped at
+// the live row's timestamp, exactly what path compression would later
 // produce. onDone fires when the propagation finishes and receives its
 // outcome: non-nil means the propagation was abandoned (retry budget
 // exhausted under load) and the caller must re-issue the fill — the

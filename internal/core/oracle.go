@@ -101,7 +101,10 @@ type VersionedRow struct {
 	Next    model.Cell
 	Ready   model.Cell
 	Deleted model.Cell
-	Cells   model.Row
+	// Prev is the promotion's redo intent (ColPrev); internal, so it
+	// is not one of the materialized Cells.
+	Prev  model.Cell
+	Cells model.Row
 }
 
 // DecodeVersionedView reconstructs the versioned view structure from a
@@ -121,7 +124,7 @@ func DecodeVersionedView(entries []model.Entry) ([]VersionedRow, error) {
 		k := key{viewKey, baseKey}
 		r := rows[k]
 		if r == nil {
-			r = &VersionedRow{ViewKey: viewKey, BaseKey: baseKey, Next: model.NullCell, Ready: model.NullCell, Deleted: model.NullCell, Cells: model.Row{}}
+			r = &VersionedRow{ViewKey: viewKey, BaseKey: baseKey, Next: model.NullCell, Ready: model.NullCell, Deleted: model.NullCell, Prev: model.NullCell, Cells: model.Row{}}
 			rows[k] = r
 		}
 		switch col {
@@ -131,6 +134,8 @@ func DecodeVersionedView(entries []model.Entry) ([]VersionedRow, error) {
 			r.Ready = e.Cell
 		case ColDeleted:
 			r.Deleted = e.Cell
+		case ColPrev:
+			r.Prev = e.Cell
 		case ColBase:
 			// implied by the qualifier; ignored
 		default:

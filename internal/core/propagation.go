@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"vstore/internal/coord"
+	"vstore/internal/metrics"
 	"vstore/internal/model"
 	"vstore/internal/trace"
 )
@@ -15,6 +17,12 @@ import (
 // view key does not (yet) exist in the view, because the base-table
 // update that wrote it has not propagated.
 var errKeyMissing = errors.New("core: view key not found in view")
+
+// errUnresolved is the retryable failure of a live-row resolution that
+// ended at an interrupted promotion (see resolveLive) which the detour
+// could not settle either. It is distinct from errKeyMissing so that
+// it never licenses row creation.
+var errUnresolved = errors.New("core: live row resolution blocked by an unfinished promotion")
 
 // runPropagation is the coordinator's retry loop of Algorithm 1, lines
 // 5-7: choose a view-key guess from the collected versions and invoke
@@ -131,10 +139,79 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 		}
 		defer release()
 	}
+	// Completeness is read before the versions: a pool snapshot taken
+	// after collection finished holds every replica's version.
+	complete := vc.Complete()
+	return m.prop.TryRound(ctx, Round{Def: t.def, BaseKey: baseKey, VK: t.vk, Mats: t.mats, Guesses: vc.Versions(), Complete: complete})
+}
 
-	guesses := vc.Versions()
+// Quorum is the replicated storage a propagation round runs over:
+// majority-quorum reads and writes of base-table and view rows. Manager
+// implements it with its coord.Coordinator; the deterministic simulator
+// implements it over its simulated fabric, so both run the same
+// Algorithms 2-3.
+type Quorum interface {
+	Get(ctx context.Context, table, row string, cols []string) (model.Row, error)
+	MultiGet(ctx context.Context, table string, reads []coord.RowRead) ([]model.Row, error)
+	Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error
+}
+
+// coordQuorum is the production Quorum: a coordinator at majority.
+type coordQuorum struct{ co *coord.Coordinator }
+
+func (q coordQuorum) majority() int { return q.co.N()/2 + 1 }
+
+func (q coordQuorum) Get(ctx context.Context, table, row string, cols []string) (model.Row, error) {
+	return q.co.Get(ctx, table, row, cols, q.majority(), false)
+}
+
+func (q coordQuorum) MultiGet(ctx context.Context, table string, reads []coord.RowRead) ([]model.Row, error) {
+	return q.co.MultiGet(ctx, table, reads, q.majority())
+}
+
+func (q coordQuorum) Put(ctx context.Context, table, row string, updates []model.ColumnUpdate) error {
+	return q.co.Put(ctx, table, row, updates, q.majority())
+}
+
+// Propagator runs propagation rounds — the guess-pool rules of
+// Algorithm 1 around PropagateUpdate (Algorithm 2) and GetLiveKey
+// (Algorithm 3) — over a Quorum. The caller owns the per-row
+// serialization and the retry loop.
+type Propagator struct {
+	q        Quorum
+	opts     Options
+	stats    *Stats
+	chainLen *metrics.AtomicHist
+}
+
+// NewPropagator returns a Propagator over q. Of opts it uses
+// PathCompression and MaxChainHops; it counts into stats and records
+// per-walk chain lengths into chainLen.
+func NewPropagator(q Quorum, opts Options, stats *Stats, chainLen *metrics.AtomicHist) *Propagator {
+	return &Propagator{q: q, opts: opts.withDefaults(), stats: stats, chainLen: chainLen}
+}
+
+// Round is the input of one propagation round for one view.
+type Round struct {
+	Def     *Def
+	BaseKey string
+	// VK is the update to the view-key column, if any; Mats are the
+	// updates to view-materialized columns.
+	VK   *model.ColumnUpdate
+	Mats []model.ColumnUpdate
+	// Guesses is the pool of pre-image view-key versions, newest first.
+	// Complete reports that every replica contributed to it.
+	Guesses  []model.Cell
+	Complete bool
+}
+
+// TryRound makes one pass over r's guesses, invoking PropagateUpdate
+// per guess until one succeeds. It reports done=true when the
+// propagation completed, successfully or as a provable no-op; a
+// non-nil error with done=false means ctx expired mid-round.
+func (p *Propagator) TryRound(ctx context.Context, r Round) (bool, error) {
 	anyWritten, anyLive := false, false
-	for _, g := range guesses {
+	for _, g := range r.Guesses {
 		if g.Exists() {
 			anyWritten = true
 			if !g.Tombstone {
@@ -142,6 +219,7 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 			}
 		}
 	}
+	deletesOrMatOnly := r.VK == nil || r.VK.Cell.Tombstone
 	// Every replica reporting "no view key ever written" means no
 	// view row exists for this base row (Definition 1). A
 	// materialized-column-only update then has nothing to maintain,
@@ -150,8 +228,8 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 	// a deleted view key may still have a live (not yet
 	// deletion-marked) view row that a re-propagated deletion must
 	// stamp, so those fall through to the chain walks below.
-	if !anyWritten && vc.Complete() && (t.vk == nil || t.vk.Cell.Tombstone) {
-		m.stats.NoOps.Add(1)
+	if !anyWritten && r.Complete && deletesOrMatOnly {
+		p.stats.NoOps.Add(1)
 		return true, nil
 	}
 	// With a complete pool holding no live guess, a deletion (or
@@ -161,24 +239,24 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 	// quorum, and folds the winning state itself. A live guess forbids
 	// the shortcut — the row it names may exist unanchored mid-create,
 	// so the walk must keep retrying until it resolves.
-	noView := vc.Complete() && !anyLive && (t.vk == nil || t.vk.Cell.Tombstone)
+	noView := r.Complete && !anyLive && deletesOrMatOnly
 
 	// With several live guesses the chain walks ahead share one batched
-	// lookup of every start key's Next pointer (one round trip instead
-	// of one Get per guess).
-	pre := m.prefetchStarts(ctx, t.def, baseKey, guesses)
+	// lookup of every start key's first hop (one round trip instead of
+	// one Get per guess).
+	pre := p.prefetchStarts(ctx, r.Def, r.BaseKey, r.Guesses)
 
-	for _, g := range guesses {
-		err := m.propagateOnce(ctx, t, baseKey, g, pre)
+	for _, g := range r.Guesses {
+		err := p.propagateOnce(ctx, r, g, pre)
 		if err == nil {
-			m.stats.Propagations.Add(1)
+			p.stats.Propagations.Add(1)
 			return true, nil
 		}
 		if noView && g.IsNull() && errors.Is(err, errKeyMissing) {
-			m.stats.NoOps.Add(1)
+			p.stats.NoOps.Add(1)
 			return true, nil
 		}
-		m.stats.FailedAttempts.Add(1)
+		p.stats.FailedAttempts.Add(1)
 		if ctx.Err() != nil {
 			return false, err
 		}
@@ -192,32 +270,32 @@ func (m *Manager) tryRound(ctx context.Context, t propTask, baseKey, lockKey str
 // cell is not itself a causal event — carrying the dot over would make
 // two view rows derived from concurrent base writes look like sibling
 // view writes and double-count them.
-func (m *Manager) viewPut(ctx context.Context, view, rowKey string, updates []model.ColumnUpdate) error {
+func (p *Propagator) viewPut(ctx context.Context, view, rowKey string, updates []model.ColumnUpdate) error {
 	model.StripDots(updates)
-	return m.co.Put(ctx, view, rowKey, updates, m.majority())
+	return p.q.Put(ctx, view, rowKey, updates)
 }
 
 // propagateOnce is PropagateUpdate (Algorithm 2) for one guess. It
 // handles a view-key update, view-materialized column updates, or both
 // at once (the multi-column extension the paper describes in IV-C).
-func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string, guess model.Cell, pre map[string]model.Row) error {
-	def := t.def
+func (p *Propagator) propagateOnce(ctx context.Context, r Round, guess model.Cell, pre map[string]model.Row) error {
+	def := r.Def
 	// Resolve the guess to a starting view-row key. A NULL guess (the
 	// replica had no view key before the update) starts from the base
 	// row's chain anchor; see nullRowKey.
-	start := nullRowKey(def.storedKey(baseKey))
+	start := nullRowKey(def.storedKey(r.BaseKey))
 	if !guess.IsNull() {
 		start = string(guess.Value)
 	}
 
-	kLive, tLive, err := m.getLiveKey(ctx, def, baseKey, start, pre)
+	kLive, tLive, err := p.resolveLive(ctx, def, r.BaseKey, start, pre)
 	creating := false
 	if err != nil {
 		// A missing anchor together with a NULL guess means no view
 		// row has ever been created for this base row: a view-key
 		// update may create the first one. Any other failure is a bad
 		// guess — retried by the caller with another version.
-		if errors.Is(err, errKeyMissing) && guess.IsNull() && t.vk != nil && !t.vk.Cell.Tombstone {
+		if errors.Is(err, errKeyMissing) && guess.IsNull() && r.VK != nil && !r.VK.Cell.Tombstone {
 			creating, kLive, tLive = true, "", model.NullTS
 		} else {
 			return err
@@ -225,24 +303,24 @@ func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string,
 	}
 
 	target := kLive // row that will receive materialized-column cells
-	if t.vk != nil {
-		target, err = m.propagateViewKey(ctx, def, baseKey, *t.vk, kLive, tLive, creating)
+	if r.VK != nil {
+		target, err = p.propagateViewKey(ctx, def, r.BaseKey, *r.VK, kLive, tLive, creating)
 		if err != nil {
 			return err
 		}
 	}
-	if len(t.mats) > 0 && def.Selects(target) {
+	if len(r.Mats) > 0 && def.Selects(target) {
 		// Algorithm 2 line 12: write the new values into the live row.
 		// The cells carry the base-table timestamps, so stale
 		// propagations lose to fresher cell values automatically.
 		// (Rows outside the view's selection carry no data cells, so
 		// materialized updates to them are skipped; if the key later
 		// moves into the selection, CopyData re-seeds from the base.)
-		updates := make([]model.ColumnUpdate, 0, len(t.mats))
-		for _, u := range t.mats {
-			updates = append(updates, model.ColumnUpdate{Column: model.Qualify(def.storedKey(baseKey), u.Column), Cell: u.Cell})
+		updates := make([]model.ColumnUpdate, 0, len(r.Mats))
+		for _, u := range r.Mats {
+			updates = append(updates, model.ColumnUpdate{Column: model.Qualify(def.storedKey(r.BaseKey), u.Column), Cell: u.Cell})
 		}
-		if err := m.viewPut(ctx, def.Name, target, updates); err != nil {
+		if err := p.viewPut(ctx, def.Name, target, updates); err != nil {
 			return err
 		}
 	}
@@ -252,7 +330,7 @@ func (m *Manager) propagateOnce(ctx context.Context, t propTask, baseKey string,
 // propagateViewKey handles the view-key branch of Algorithm 2 and
 // returns the key of the row that now represents the base row's
 // current state (where bundled materialized updates should land).
-func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string, vk model.ColumnUpdate, kLive string, tLive int64, creating bool) (string, error) {
+func (p *Propagator) propagateViewKey(ctx context.Context, def *Def, baseKey string, vk model.ColumnUpdate, kLive string, tLive int64, creating bool) (string, error) {
 	stored := def.storedKey(baseKey)
 	qNext := model.Qualify(stored, ColNext)
 	qBase := model.Qualify(stored, ColBase)
@@ -265,7 +343,7 @@ func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string
 		// skip rows whose deletion is at least as new as their live
 		// pointer.
 		upd := []model.ColumnUpdate{{Column: model.Qualify(stored, ColDeleted), Cell: model.Cell{Value: []byte("1"), TS: tNew}}}
-		if err := m.viewPut(ctx, def.Name, kLive, upd); err != nil {
+		if err := p.viewPut(ctx, def.Name, kLive, upd); err != nil {
 			return "", err
 		}
 		return kLive, nil
@@ -281,64 +359,79 @@ func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string
 	switch {
 	case kNew == kLive:
 		// Case 2c: the key is already live; refresh its timestamps
-		// (no effect if tNew is older, by Put semantics).
-		return kNew, m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
+		// (no effect if tNew is older, by Put semantics). The base,
+		// pointer and ready cells travel in one put, so any replica
+		// that observes the refreshed pointer also observes the
+		// refreshed ready marker.
+		return kNew, p.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
 			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
 			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
 			{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
 		})
 
 	case newWins:
-		// The new row becomes the live row. Order matters for
-		// concurrent readers (Section IV-F): (1) create the row
-		// without its ready marker — inaccessible; (2) copy the
-		// view-materialized cells; (3) turn the old live row stale;
-		// (4) publish the new row by writing its ready marker.
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-		}); err != nil {
-			return "", err
-		}
-		// Rows outside the view's selection are structure-only: they
-		// anchor stale chains but never carry materialized data.
-		if def.Selects(kNew) {
-			if err := m.copyData(ctx, def, baseKey, kLive, kNew, creating); err != nil {
-				return "", err
-			}
-		}
-		staleRow := kLive
-		if creating {
-			staleRow = nullRowKey(stored)
-		}
-		if err := m.viewPut(ctx, def.Name, staleRow, []model.ColumnUpdate{
-			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kNew), TS: tNew}},
-		}); err != nil {
-			return "", err
-		}
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
-			{Column: qReady, Cell: model.Cell{Value: []byte("1"), TS: tNew}},
-		}); err != nil {
-			return "", err
-		}
-		return kNew, nil
+		return kNew, p.promote(ctx, def, baseKey, vk, kLive, creating)
 
 	default:
 		// The update is older than the live row: record it as a stale
 		// row pointing (directly) at the live row, so later guesses of
-		// kNew can still find the live row. If kNew already exists as
-		// a stale row with a newer pointer, the Put loses LWW and the
-		// existing pointer survives, as Definition 3 requires.
-		if err := m.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
+		// kNew can still find the live row. The pointer is stamped at
+		// the live row's timestamp, not tNew — what path compression
+		// would later write, and redo-safe: if kNew is a ghost of this
+		// very update's interrupted promotion, its self-pointer at tNew
+		// loses to this cell (the live row won at tNew, so tLive > tNew,
+		// or the tie broke on value and kLive is the larger value).
+		if err := p.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
 			{Column: qBase, Cell: model.Cell{Value: []byte(baseKey), TS: tNew}},
-			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tNew}},
+			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
 		}); err != nil {
 			return "", err
 		}
 		// Bundled materialized updates still target the live row.
 		return kLive, nil
 	}
+}
+
+// promote runs the "new row wins" sequence of Algorithm 2, ordered for
+// concurrent readers (Section IV-F): (1) create the new row
+// self-pointing but without its ready marker — inaccessible; (2) copy
+// the view-materialized cells; (3) turn the old live row (the chain
+// anchor when creating) stale; (4) publish the new row by writing its
+// ready marker. Step 1 also records the superseded row in ColPrev, the
+// redo intent that lets resolveLive detour around the new row when the
+// sequence is interrupted. A creating promotion leaves ColPrev out: an
+// absent ColPrev already means "detour via the anchor".
+func (p *Propagator) promote(ctx context.Context, def *Def, baseKey string, vk model.ColumnUpdate, kOld string, creating bool) error {
+	stored := def.storedKey(baseKey)
+	tNew := vk.Cell.TS
+	kNew := string(vk.Cell.Value)
+	base := model.ColumnUpdate{Column: model.Qualify(stored, ColBase), Cell: model.Cell{Value: []byte(baseKey), TS: tNew}}
+	next := model.ColumnUpdate{Column: model.Qualify(stored, ColNext), Cell: model.Cell{Value: []byte(kNew), TS: tNew}}
+
+	create := []model.ColumnUpdate{base, next}
+	if !creating {
+		create = append(create, model.ColumnUpdate{Column: model.Qualify(stored, ColPrev), Cell: model.Cell{Value: []byte(kOld), TS: tNew}})
+	}
+	if err := p.viewPut(ctx, def.Name, kNew, create); err != nil {
+		return err
+	}
+	// Rows outside the view's selection are structure-only: they
+	// anchor stale chains but never carry materialized data.
+	if def.Selects(kNew) {
+		if err := p.copyData(ctx, def, baseKey, kOld, kNew, creating); err != nil {
+			return err
+		}
+	}
+	staleRow := kOld
+	if creating {
+		staleRow = nullRowKey(stored)
+	}
+	if err := p.viewPut(ctx, def.Name, staleRow, []model.ColumnUpdate{base, next}); err != nil {
+		return err
+	}
+	return p.viewPut(ctx, def.Name, kNew, []model.ColumnUpdate{
+		{Column: model.Qualify(stored, ColReady), Cell: model.Cell{Value: []byte("1"), TS: tNew}},
+	})
 }
 
 // copyData implements Algorithm 2's CopyData: the new live row
@@ -363,7 +456,9 @@ func (m *Manager) propagateViewKey(ctx context.Context, def *Def, baseKey string
 //
 // Because the copied cells keep their base-table timestamps, merging
 // in base state never regresses the view and preserves convergence.
-func (m *Manager) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew string, creating bool) error {
+// The cells are written in sorted column order, so the simulator's
+// traces stay deterministic.
+func (p *Propagator) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew string, creating bool) error {
 	stored := def.storedKey(baseKey)
 	merged := model.Row{} // unqualified column → winning cell
 	fold := func(col string, cell model.Cell) {
@@ -380,7 +475,7 @@ func (m *Manager) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew st
 	// Base-table state: materialized columns, plus the view-key column
 	// to learn whether the row is currently deleted.
 	baseCols := append(append([]string(nil), def.Materialized...), def.ViewKeyColumn)
-	base, err := m.co.Get(ctx, def.Base, baseKey, baseCols, m.majority(), false)
+	base, err := p.q.Get(ctx, def.Base, baseKey, baseCols)
 	if err != nil {
 		return err
 	}
@@ -398,7 +493,7 @@ func (m *Manager) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew st
 			cols = append(cols, model.Qualify(stored, c))
 		}
 		cols = append(cols, model.Qualify(stored, ColDeleted))
-		qualified, err := m.co.Get(ctx, def.Name, kOld, cols, m.majority(), false)
+		qualified, err := p.q.Get(ctx, def.Name, kOld, cols)
 		if err != nil {
 			return err
 		}
@@ -409,33 +504,46 @@ func (m *Manager) copyData(ctx context.Context, def *Def, baseKey, kOld, kNew st
 		}
 	}
 
-	updates := make([]model.ColumnUpdate, 0, len(merged))
-	for col, cell := range merged {
-		updates = append(updates, model.ColumnUpdate{Column: model.Qualify(stored, col), Cell: cell})
-	}
-	if len(updates) == 0 {
+	if len(merged) == 0 {
 		return nil
 	}
-	return m.viewPut(ctx, def.Name, kNew, updates)
+	cols := make([]string, 0, len(merged))
+	for col := range merged {
+		cols = append(cols, col)
+	}
+	sort.Strings(cols)
+	updates := make([]model.ColumnUpdate, 0, len(cols))
+	for _, col := range cols {
+		updates = append(updates, model.ColumnUpdate{Column: model.Qualify(stored, col), Cell: merged[col]})
+	}
+	return p.viewPut(ctx, def.Name, kNew, updates)
 }
 
-// prefetchStarts resolves the Next pointers of every distinct chain
-// start key among the guesses in one batched quorum read, so the
-// chain walks of propagateOnce begin with their first hop — and, when
-// one guess's chain leads through another guess's key, later hops too
-// — already in hand. The returned map feeds getLiveKey's cache.
+// walkCols are the cells every chain-walk hop reads, in one request so
+// the per-replica atomicity of the writes that produced them carries
+// over to the merged read: the pointer, the ready marker and the
+// promotion's redo intent.
+func walkCols(stored string) []string {
+	return []string{model.Qualify(stored, ColNext), model.Qualify(stored, ColReady), model.Qualify(stored, ColPrev)}
+}
+
+// prefetchStarts resolves the first hop of every distinct chain start
+// key among the guesses in one batched quorum read, so the chain walks
+// of propagateOnce begin with their first hop — and, when one guess's
+// chain leads through another guess's key, later hops too — already in
+// hand. The returned map feeds walkChain's cache.
 //
 // The prefetch is a performance hint with the same quorum strength as
 // the per-hop Gets it replaces: a row written between the batch and
 // the walk is simply not seen this round, which at worst costs one
 // extra retry, exactly like a Get issued at batch time would have.
 // Any batch failure degrades to the unbatched walk.
-func (m *Manager) prefetchStarts(ctx context.Context, def *Def, baseKey string, guesses []model.Cell) map[string]model.Row {
+func (p *Propagator) prefetchStarts(ctx context.Context, def *Def, baseKey string, guesses []model.Cell) map[string]model.Row {
 	if len(guesses) < 2 {
 		return nil // a single start key gains nothing over its plain Get
 	}
 	stored := def.storedKey(baseKey)
-	qNext := model.Qualify(stored, ColNext)
+	cols := walkCols(stored)
 	seen := make(map[string]bool, len(guesses))
 	reads := make([]coord.RowRead, 0, len(guesses))
 	for _, g := range guesses {
@@ -447,16 +555,16 @@ func (m *Manager) prefetchStarts(ctx context.Context, def *Def, baseKey string, 
 			continue
 		}
 		seen[start] = true
-		reads = append(reads, coord.RowRead{Row: start, Columns: []string{qNext}})
+		reads = append(reads, coord.RowRead{Row: start, Columns: cols})
 	}
 	if len(reads) < 2 {
 		return nil
 	}
-	rows, err := m.co.MultiGet(ctx, def.Name, reads, m.majority())
+	rows, err := p.q.MultiGet(ctx, def.Name, reads)
 	if err != nil {
 		return nil
 	}
-	m.stats.BatchedLookups.Add(1)
+	p.stats.BatchedLookups.Add(1)
 	pre := make(map[string]model.Row, len(reads))
 	for i, rd := range reads {
 		pre[rd.Row] = rows[i]
@@ -464,10 +572,84 @@ func (m *Manager) prefetchStarts(ctx context.Context, def *Def, baseKey string, 
 	return pre
 }
 
-// getLiveKey is Algorithm 3: starting from a guessed view key, follow
-// Next pointers through stale rows until the live row (self-pointer)
-// is found. Returns errKeyMissing when the starting key has no row for
-// this base key — the guess's update has not propagated yet.
+// resolveLive finds the authoritative live row of a base key, starting
+// from a guessed view key. A walk is trusted only when it ends at a
+// published row. An unpublished self-pointing terminus is a promotion
+// that was interrupted between its create and its publish (a "ghost");
+// its ColPrev names the row it was superseding (the chain anchor when
+// absent), and a detour walk from there tells the two interrupted
+// shapes apart:
+//
+//   - The detour reaches a published live row: the interrupted
+//     promotion never redirected it (it may even have severed the chain
+//     by re-promoting an old stale key). That row is the authority;
+//     proceeding against it demotes or redoes the ghost.
+//   - The detour arrives back at the ghost: the only pointer into an
+//     unpublished row is its own promotion's redirect (stale inserts
+//     and compression only target published rows), so the redirect was
+//     issued and the copy ordered before it completed. Any propagation
+//     may finish the promotion: redo the redirect at quorum, publish.
+//
+// Returns errKeyMissing when the starting key has no row for this base
+// key — the guess's update has not propagated yet — and errUnresolved
+// when a ghost is in the way.
+func (p *Propagator) resolveLive(ctx context.Context, def *Def, baseKey, start string, pre map[string]model.Row) (string, int64, error) {
+	t, err := p.walkChain(ctx, def, baseKey, start, pre)
+	if err != nil {
+		return "", 0, err
+	}
+	if t.published {
+		return t.key, t.ts, nil
+	}
+	stored := def.storedKey(baseKey)
+	detour := nullRowKey(stored)
+	if !t.prev.IsNull() {
+		detour = string(t.prev.Value)
+	}
+	t2, err := p.walkChain(ctx, def, baseKey, detour, pre)
+	if err != nil {
+		// Deliberately not errKeyMissing: view rows exist (the ghost
+		// does), so a missing detour row must not license creation.
+		return "", 0, fmt.Errorf("%w: %q detour via %q: %v", errUnresolved, t.key, detour, err)
+	}
+	if t2.published {
+		return t2.key, t2.ts, nil
+	}
+	if t2.key != t.key {
+		return "", 0, fmt.Errorf("%w: %q and %q both unpublished", errUnresolved, t.key, t2.key)
+	}
+	// The redirect was issued, so the copy before it completed: help the
+	// interrupted promotion over the line. The redirect may have reached
+	// fewer than a quorum of replicas, so it is written again at quorum
+	// first — publishing the row while a quorum read of the redirected
+	// row could still find that row live would let a later promotion
+	// supersede it and leave two live rows.
+	if err := p.viewPut(ctx, def.Name, t2.from, []model.ColumnUpdate{
+		{Column: model.Qualify(stored, ColBase), Cell: model.Cell{Value: []byte(baseKey), TS: t.ts}},
+		{Column: model.Qualify(stored, ColNext), Cell: model.Cell{Value: []byte(t.key), TS: t.ts}},
+	}); err != nil {
+		return "", 0, err
+	}
+	if err := p.viewPut(ctx, def.Name, t.key, []model.ColumnUpdate{
+		{Column: model.Qualify(stored, ColReady), Cell: model.Cell{Value: []byte("1"), TS: t.ts}},
+	}); err != nil {
+		return "", 0, err
+	}
+	return t.key, t.ts, nil
+}
+
+// terminus is the self-pointing row a chain walk ended at.
+type terminus struct {
+	key       string
+	ts        int64
+	published bool       // ready marker at least as fresh as the pointer
+	prev      model.Cell // the promotion's recorded origin (redo intent)
+	from      string     // the row whose pointer led here; "" for the start row
+}
+
+// walkChain is Algorithm 3: starting from a view key, follow Next
+// pointers through stale rows to the self-pointing terminus. Returns
+// errKeyMissing when the starting key has no row for this base key.
 //
 // pre optionally carries rows prefetched by prefetchStarts; hops whose
 // key is in the batch skip their quorum round trip (an empty
@@ -475,12 +657,16 @@ func (m *Manager) prefetchStarts(ctx context.Context, def *Def, baseKey string, 
 // errKeyMissing — also no round trip).
 //
 // With Options.PathCompression the traversed stale rows are rewritten
-// to point directly at the live row (at the live pointer's timestamp,
-// which dominates every stale pointer), flattening hot chains the way
-// union-find path compression does.
-func (m *Manager) getLiveKey(ctx context.Context, def *Def, baseKey, start string, pre map[string]model.Row) (string, int64, error) {
-	m.stats.LiveKeyLookups.Add(1)
-	qNext := model.Qualify(def.storedKey(baseKey), ColNext)
+// to point directly at the terminus (at its pointer's timestamp, which
+// dominates every stale pointer), flattening hot chains the way
+// union-find path compression does — but only when the terminus is
+// published: compressing toward a ghost would splice it into real
+// chains.
+func (p *Propagator) walkChain(ctx context.Context, def *Def, baseKey, start string, pre map[string]model.Row) (terminus, error) {
+	p.stats.LiveKeyLookups.Add(1)
+	stored := def.storedKey(baseKey)
+	cols := walkCols(stored)
+	qNext, qReady, qPrev := cols[0], cols[1], cols[2]
 	kv := start
 	var visited []string
 	walk := trace.FromContext(ctx).Child("chain.walk")
@@ -490,14 +676,14 @@ func (m *Manager) getLiveKey(ctx context.Context, def *Def, baseKey, start strin
 		ctx = trace.NewContext(ctx, walk)
 	}
 	defer func() {
-		// Rows visited, counting the live terminus: 1 = no stale hops.
-		m.reg.obs.ChainLen.Observe(int64(len(visited)) + 1)
+		// Rows visited, counting the terminus: 1 = no stale hops.
+		p.chainLen.Observe(int64(len(visited)) + 1)
 		if walk != nil {
 			walk.SetAttr("hops", fmt.Sprint(len(visited)))
 			walk.Finish()
 		}
 	}()
-	for hop := 0; hop < m.reg.opts.MaxChainHops; hop++ {
+	for hop := 0; hop < p.opts.MaxChainHops; hop++ {
 		row, ok := pre[kv]
 		if ok {
 			// A prefetched row serves at most one hop: it is a
@@ -506,41 +692,55 @@ func (m *Manager) getLiveKey(ctx context.Context, def *Def, baseKey, start strin
 			// the snapshot's stale pointer and the current chain forever
 			// (stale A→B cached, fresh B→A, cached A→B, ...).
 			delete(pre, kv)
-			m.stats.ChainHopsSaved.Add(1)
+			p.stats.ChainHopsSaved.Add(1)
 		} else {
 			var err error
-			row, err = m.co.Get(ctx, def.Name, kv, []string{qNext}, m.majority(), false)
+			row, err = p.q.Get(ctx, def.Name, kv, cols)
 			if err != nil {
-				return "", 0, err
+				return terminus{}, err
 			}
 		}
 		next, ok := row[qNext]
 		if !ok || next.IsNull() {
-			return "", 0, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, baseKey)
+			return terminus{}, fmt.Errorf("%w: %q (base row %q)", errKeyMissing, kv, baseKey)
 		}
 		if hop > 0 {
-			m.stats.ChainHops.Add(1)
+			p.stats.ChainHops.Add(1)
 		}
-		if string(next.Value) == kv {
-			if m.reg.opts.PathCompression && len(visited) > 1 {
-				m.compressChain(ctx, def, baseKey, visited[:len(visited)-1], kv, next.TS)
-			}
-			return kv, next.TS, nil
+		if string(next.Value) != kv {
+			visited = append(visited, kv)
+			kv = string(next.Value)
+			continue
 		}
-		visited = append(visited, kv)
-		kv = string(next.Value)
+		ready, prev := model.NullCell, model.NullCell
+		if c, ok := row[qReady]; ok {
+			ready = c
+		}
+		if c, ok := row[qPrev]; ok {
+			prev = c
+		}
+		t := terminus{key: kv, ts: next.TS, published: !ready.IsNull() && ready.TS >= next.TS, prev: prev}
+		if len(visited) > 0 {
+			t.from = visited[len(visited)-1]
+		}
+		if t.published && p.opts.PathCompression && len(visited) > 1 {
+			p.compressChain(ctx, def, baseKey, visited[:len(visited)-1], kv, next.TS)
+		}
+		return t, nil
 	}
-	return "", 0, fmt.Errorf("core: stale chain for base row %q exceeded %d hops (cycle?)", baseKey, m.reg.opts.MaxChainHops)
+	return terminus{}, fmt.Errorf("core: stale chain for base row %q exceeded %d hops (cycle?)", baseKey, p.opts.MaxChainHops)
 }
 
 // compressChain rewrites traversed stale pointers to address the live
 // row directly. Failures are ignored: compression is a performance
 // hint, never needed for correctness.
-func (m *Manager) compressChain(ctx context.Context, def *Def, baseKey string, staleKeys []string, kLive string, tLive int64) {
+func (p *Propagator) compressChain(ctx context.Context, def *Def, baseKey string, staleKeys []string, kLive string, tLive int64) {
 	qNext := model.Qualify(def.storedKey(baseKey), ColNext)
 	for _, kv := range staleKeys {
-		_ = m.viewPut(ctx, def.Name, kv, []model.ColumnUpdate{
+		if err := p.viewPut(ctx, def.Name, kv, []model.ColumnUpdate{
 			{Column: qNext, Cell: model.Cell{Value: []byte(kLive), TS: tLive}},
-		})
+		}); err == nil {
+			p.stats.Compressions.Add(1)
+		}
 	}
 }

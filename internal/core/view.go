@@ -51,6 +51,12 @@ const (
 	// the versioned view as chain anchor but reads skip it while the
 	// deletion is current.
 	ColDeleted = "__del"
+	// ColPrev is a promotion's redo intent: the row the promoted row
+	// superseded, written atomically with its self-pointer. When the
+	// promotion is interrupted before publishing, GetLiveKey detours
+	// through it to find the authoritative live row (see resolveLive).
+	// Creating promotions leave it out; absent means the chain anchor.
+	ColPrev = "__prev"
 )
 
 // nullKeyPrefix starts the reserved view-row key that anchors the
@@ -67,11 +73,6 @@ func nullRowKey(baseKey string) string { return nullKeyPrefix + baseKey }
 // IsInternalKey reports whether a view-row key is a versioning anchor
 // rather than an application view key.
 func IsInternalKey(viewKey string) bool { return strings.HasPrefix(viewKey, nullKeyPrefix) }
-
-// AnchorKey returns the reserved chain-anchor view key for a base row;
-// external harnesses (the deterministic simulator) use it to mirror
-// the propagation algorithm's NULL-key handling.
-func AnchorKey(baseKey string) string { return nullRowKey(baseKey) }
 
 // Def defines a view (Definition 1 of the paper).
 type Def struct {
@@ -201,7 +202,7 @@ func (d *Def) Validate() error {
 
 func isReserved(col string) bool {
 	switch col {
-	case ColBase, ColNext, ColReady, ColDeleted:
+	case ColBase, ColNext, ColReady, ColDeleted, ColPrev:
 		return true
 	}
 	return false

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -231,7 +230,7 @@ type Report struct {
 
 	Acked              int // acknowledged client writes
 	Propagations       int // completed update propagations
-	PropagationRetries int // failed attempts and retry rounds
+	PropagationRetries int // failed PropagateUpdate attempts (core.Stats.FailedAttempts)
 	ChainHops          int // stale rows traversed by GetLiveKey
 	Compressions       int // stale pointers rewritten by path compression
 	FinalViewRows      int // application-visible view rows at the end
@@ -258,10 +257,6 @@ type Report struct {
 func ReplayCommand(seed int64) string {
 	return fmt.Sprintf("MV_SEED=%d go test -run TestSimReplay ./internal/sim  (or: go run ./cmd/mvverify -sim -seed %d)", seed, seed)
 }
-
-// errSimKeyMissing is the retryable failure of Algorithm 3 in the sim:
-// the guessed view key has no row yet.
-var errSimKeyMissing = errors.New("sim: view key not found in view")
 
 // versionSet collects the distinct pre-image view-key versions observed
 // by a write's replica responses — the propagation's guess pool.
@@ -312,6 +307,9 @@ type world struct {
 	nextPropID  uint64
 	propLag     metrics.AtomicHist
 	chainLen    metrics.AtomicHist
+	// stats counts the shared propagation code's activity; the Report's
+	// chain-hop, compression and retry counters come from it.
+	stats core.Stats
 
 	// Online-backfill scenario state (CreateViewAt > 0). bfGen counts
 	// view generations — a drop + re-create is a new generation with a
@@ -477,6 +475,9 @@ func Run(cfg Config) *Report {
 	w.report.Err = err
 	w.report.PropLag = w.propLag.Snapshot()
 	w.report.ChainLen = w.chainLen.Snapshot()
+	w.report.ChainHops = int(w.stats.ChainHops.Load())
+	w.report.Compressions = int(w.stats.Compressions.Load())
+	w.report.PropagationRetries = int(w.stats.FailedAttempts.Load())
 	w.report.Events = s.Trace().Len()
 	w.report.TraceHash = s.Trace().Hash()
 	w.report.Trace = s.Trace()
@@ -907,24 +908,6 @@ func (w *world) quorumGet(p *Proc, from transport.NodeID, table, row string, col
 		return nil, fmt.Errorf("sim: read quorum failed for %s/%q (%d/%d)", table, row, a.acks, quorum)
 	}
 	return a.merged, nil
-}
-
-// viewPut writes cells into a view row with the majority quorum
-// Algorithm 2 mandates. Dot metadata is stripped: dots name client
-// base-table writes, and view cells derived from them are not causal
-// events of their own (mirrors core.Manager.viewPut).
-func (w *world) viewPut(p *Proc, from transport.NodeID, table, rowKey string, updates []model.ColumnUpdate) error {
-	for i := range updates {
-		updates[i].Cell.Dot = dvv.Dot{}
-		updates[i].Cell.Ctx = nil
-	}
-	replicas := w.replicas(table, rowKey)
-	quorum := len(replicas)/2 + 1
-	req := transport.PutReq{Table: table, Row: rowKey, Updates: updates}
-	if acks := w.broadcastPut(p, from, replicas, req, nil); acks < quorum {
-		return fmt.Errorf("sim: write quorum failed for view %q row %q (%d/%d)", table, rowKey, acks, quorum)
-	}
-	return nil
 }
 
 func (w *world) replicas(table, row string) []transport.NodeID {

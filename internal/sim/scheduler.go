@@ -4,7 +4,9 @@
 // fabric whose latencies, drops, partitions and node crashes are all
 // drawn from that one source, and simulated processes (clients and
 // update propagations) that run as coroutines interleaved only at
-// scheduled event boundaries.
+// scheduled event boundaries. Propagation rounds run internal/core's
+// Propagator — the view-maintenance code that ships — over the
+// simulated fabric, so the oracles judge production Algorithms 2-3.
 //
 // A simulation run is a pure function of its seed: no wall-clock reads,
 // no time.Sleep, no unsynchronized goroutines. Every delivered message
