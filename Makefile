@@ -68,7 +68,7 @@ fuzz-smoke:
 race-sim:
 	$(GO) test -race -run 'Sim|Chaos' ./...
 
-check: build vet lint test test-backends regression race-sim
+check: build vet lint test perf-test test-backends regression race-sim
 
 # Read-path benchmarks (Figures 3, 4 and 8), recorded machine-readably
 # in BENCH_PR3.json under the "observability" label, with p50/p95/p99

@@ -1,10 +1,11 @@
-// Command mvctl is a small shell over an embedded vstore cluster: it
-// creates tables, views and indexes, issues reads and writes, and
-// dumps view/versioning internals. Useful for poking at the system's
-// behavior interactively or from scripts (commands can be piped on
-// stdin).
+// Command mvctl is the vstore shell. It creates tables, views and
+// indexes, issues reads and writes, and dumps view/versioning
+// internals, either against an embedded cluster (the default) or
+// against a running mvserver over the wire protocol (-addr). Commands
+// can also be piped on stdin.
 //
-//	$ mvctl
+//	$ mvctl                        # embedded cluster
+//	$ mvctl -addr 127.0.0.1:7654   # remote mvserver
 //	> create table ticket
 //	> create view assignedto on ticket key assignedto materialize status
 //	> put ticket 1 assignedto=rliu status=open
@@ -14,39 +15,86 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"vstore"
+	"vstore/internal/wire"
 )
 
+// conn is the client command set the shell drives. It is exactly the
+// method set of *wire.Client, so a remote connection needs no adapter;
+// embedded adapts a *vstore.DB to it.
+type conn interface {
+	CreateTable(name string) error
+	CreateView(def vstore.ViewDef) error
+	CreateJoinView(def vstore.JoinViewDef) error
+	CreateIndex(table, column string) error
+	Put(table, key string, values vstore.Values) error
+	Delete(table, key string, columns ...string) error
+	Get(table, key string, columns ...string) (vstore.Row, error)
+	GetRow(table, key string) (vstore.Row, error)
+	GetView(view, viewKey string, columns ...string) ([]vstore.ViewRow, error)
+	QueryIndex(table, column, value string, readColumns ...string) ([]vstore.IndexRow, error)
+	BeginSession() error
+	EndSession() error
+	PruneView(view string, horizonTS int64) (int, error)
+	RebuildView(view string) error
+	Stats() (vstore.Stats, error)
+	Quiesce() error
+}
+
 func main() {
-	nodes := flag.Int("nodes", 4, "cluster size")
-	repl := flag.Int("replication", 3, "replication factor N")
+	addr := flag.String("addr", "", "mvserver address; empty runs an embedded cluster")
+	nodes := flag.Int("nodes", 4, "cluster size (embedded)")
+	repl := flag.Int("replication", 3, "replication factor N (embedded)")
 	flag.Parse()
 
-	db, err := vstore.Open(vstore.Config{Nodes: *nodes, ReplicationFactor: *repl})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mvctl: %v\n", err)
-		os.Exit(1)
+	var c conn
+	if *addr == "" {
+		db, err := vstore.Open(vstore.Config{Nodes: *nodes, ReplicationFactor: *repl})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mvctl: %v\n", err)
+			os.Exit(1)
+		}
+		defer db.Close()
+		c = newEmbedded(db)
+		fmt.Printf("embedded cluster up: %d nodes, N=%d. type 'help'.\n", db.Nodes(), db.ReplicationFactor())
+	} else {
+		wc, err := wire.Dial(*addr, 5*time.Second)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mvctl: %v\n", err)
+			os.Exit(1)
+		}
+		defer wc.Close()
+		if err := wc.Ping(); err != nil {
+			fmt.Fprintf(os.Stderr, "mvctl: ping: %v\n", err)
+			os.Exit(1)
+		}
+		c = wc
+		fmt.Printf("connected to %s. type 'help'.\n", *addr)
 	}
-	defer db.Close()
 
-	fmt.Printf("embedded cluster up: %d nodes, N=%d. type 'help'.\n", db.Nodes(), db.ReplicationFactor())
-	sc := bufio.NewScanner(os.Stdin)
 	interactive := true
 	if fi, err := os.Stdin.Stat(); err == nil && fi.Mode()&os.ModeCharDevice == 0 {
 		interactive = false
 	}
+	run(os.Stdin, os.Stdout, c, interactive)
+}
+
+// run executes the commands read from in until EOF or quit, printing
+// results and errors to out.
+func run(in io.Reader, out io.Writer, c conn, prompt bool) {
+	sc := bufio.NewScanner(in)
 	for {
-		if interactive {
-			fmt.Print("> ")
+		if prompt {
+			fmt.Fprint(out, "> ")
 		}
 		if !sc.Scan() {
 			return
@@ -58,20 +106,17 @@ func main() {
 		if line == "quit" || line == "exit" {
 			return
 		}
-		if err := execute(db, line); err != nil {
-			fmt.Printf("error: %v\n", err)
+		if err := execute(out, c, line); err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
 		}
 	}
 }
 
-func execute(db *vstore.DB, line string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+func execute(w io.Writer, c conn, line string) error {
 	fields := strings.Fields(line)
-	c := db.Client(0)
 	switch fields[0] {
 	case "help":
-		fmt.Print(`commands:
+		fmt.Fprint(w, `commands:
   create table NAME
   create view NAME on BASE key COL [prefix=P] [min=A] [max=Z] [materialize COL ...]
   create index TABLE COL
@@ -81,13 +126,16 @@ func execute(db *vstore.DB, line string) error {
   get TABLE KEY [COL ...]
   getview VIEW VIEWKEY
   queryindex TABLE COL VALUE [READCOL ...]
+  session begin | session end
   prune VIEW OLDER_THAN_SECONDS
   rebuild VIEW
+  stats | quiesce
+  quit
+embedded only:
   drop view NAME
   wait view NAME
-  tables | views | stats | traces | quiesce | antientropy
+  tables | views | traces | antientropy
   nodedown N | nodeup N
-  quit
 `)
 		return nil
 
@@ -97,7 +145,7 @@ func execute(db *vstore.DB, line string) error {
 		}
 		switch fields[1] {
 		case "table":
-			return db.CreateTable(fields[2])
+			return c.CreateTable(fields[2])
 		case "view":
 			// create view NAME on BASE key COL [materialize C...]
 			def := vstore.ViewDef{Name: fields[2]}
@@ -127,7 +175,7 @@ func execute(db *vstore.DB, line string) error {
 					sel().Max = strings.TrimPrefix(rest[i], "max=")
 				}
 			}
-			return db.CreateView(def)
+			return c.CreateView(def)
 		case "joinview":
 			// create joinview NAME LEFTBASE:JOINCOL RIGHTBASE:JOINCOL
 			if len(fields) != 5 {
@@ -138,7 +186,7 @@ func execute(db *vstore.DB, line string) error {
 			if !ok1 || !ok2 {
 				return fmt.Errorf("sides must be BASE:JOINCOL")
 			}
-			return db.CreateJoinView(vstore.JoinViewDef{
+			return c.CreateJoinView(vstore.JoinViewDef{
 				Name:  fields[2],
 				Left:  vstore.JoinSide{Base: lb, On: lc},
 				Right: vstore.JoinSide{Base: rb, On: rc},
@@ -147,7 +195,7 @@ func execute(db *vstore.DB, line string) error {
 			if len(fields) != 4 {
 				return fmt.Errorf("usage: create index TABLE COL")
 			}
-			return db.CreateIndex(fields[2], fields[3])
+			return c.CreateIndex(fields[2], fields[3])
 		}
 		return fmt.Errorf("unknown create target %q", fields[1])
 
@@ -163,13 +211,13 @@ func execute(db *vstore.DB, line string) error {
 			}
 			vals[col] = val
 		}
-		return c.Put(ctx, fields[1], fields[2], vals)
+		return c.Put(fields[1], fields[2], vals)
 
 	case "delete":
 		if len(fields) < 4 {
 			return fmt.Errorf("usage: delete TABLE KEY COL ...")
 		}
-		return c.Delete(ctx, fields[1], fields[2], fields[3:]...)
+		return c.Delete(fields[1], fields[2], fields[3:]...)
 
 	case "get":
 		if len(fields) < 3 {
@@ -178,30 +226,30 @@ func execute(db *vstore.DB, line string) error {
 		var row vstore.Row
 		var err error
 		if len(fields) > 3 {
-			row, err = c.Get(ctx, fields[1], fields[2], vstore.WithColumns(fields[3:]...), vstore.WithTracing())
+			row, err = c.Get(fields[1], fields[2], fields[3:]...)
 		} else {
-			row, err = c.GetRow(ctx, fields[1], fields[2], vstore.WithTracing())
+			row, err = c.GetRow(fields[1], fields[2])
 		}
 		if err != nil {
 			return err
 		}
-		printRow(row)
+		printRow(w, row)
 		return nil
 
 	case "getview":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: getview VIEW VIEWKEY")
 		}
-		rows, err := c.GetView(ctx, fields[1], fields[2], vstore.WithTracing())
+		rows, err := c.GetView(fields[1], fields[2])
 		if err != nil {
 			return err
 		}
 		if len(rows) == 0 {
-			fmt.Println("(no rows)")
+			fmt.Fprintln(w, "(no rows)")
 		}
 		for _, r := range rows {
-			fmt.Printf("base=%s ", r.BaseKey)
-			printRow(r.Columns)
+			fmt.Fprintf(w, "base=%s ", r.BaseKey)
+			printRow(w, r.Columns)
 		}
 		return nil
 
@@ -209,122 +257,79 @@ func execute(db *vstore.DB, line string) error {
 		if len(fields) < 4 {
 			return fmt.Errorf("usage: queryindex TABLE COL VALUE [READCOL ...]")
 		}
-		rows, err := c.QueryIndex(ctx, fields[1], fields[2], fields[3], vstore.WithColumns(fields[4:]...), vstore.WithTracing())
+		rows, err := c.QueryIndex(fields[1], fields[2], fields[3], fields[4:]...)
 		if err != nil {
 			return err
 		}
 		if len(rows) == 0 {
-			fmt.Println("(no rows)")
+			fmt.Fprintln(w, "(no rows)")
 		}
 		for _, r := range rows {
-			fmt.Printf("key=%s ", r.Key)
-			printRow(r.Columns)
+			fmt.Fprintf(w, "key=%s ", r.Key)
+			printRow(w, r.Columns)
 		}
 		return nil
 
-	case "tables":
-		fmt.Println(strings.Join(db.Tables(), " "))
-		return nil
-	case "views":
-		names := db.Views()
-		if len(names) == 0 {
-			fmt.Println("(no views)")
-			return nil
+	case "session":
+		if len(fields) != 2 || (fields[1] != "begin" && fields[1] != "end") {
+			return fmt.Errorf("usage: session begin|end")
 		}
-		lc := db.Stats().Views.Lifecycle
-		for _, name := range names {
-			state, err := db.ViewState(name)
-			if err != nil {
-				state = "?"
-			}
-			line := fmt.Sprintf("%s\t%s", name, state)
-			if p, ok := lc[name]; ok && p.State == vstore.ViewBackfilling {
-				line += fmt.Sprintf("\t(%d/%d partitions, %d rows scanned", p.PartitionsDone, p.Partitions, p.BackfillScanned)
-				if p.Resumed {
-					line += ", resumed from checkpoint"
-				}
-				line += ")"
-			}
-			fmt.Println(line)
+		if fields[1] == "begin" {
+			return c.BeginSession()
 		}
-		return nil
-	case "stats":
-		s := db.Stats()
-		b, err := json.MarshalIndent(s, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-		fmt.Printf("concurrent writes (DVV sibling pairs): %d\n", s.Writes.ConcurrentWrites)
-		return nil
-	case "traces":
-		ts := db.Traces()
-		if len(ts) == 0 {
-			fmt.Println("(no traces; reads issued here are traced automatically)")
-		}
-		for i := len(ts) - 1; i >= 0; i-- { // oldest first reads better in a shell
-			fmt.Print(ts[i].Format())
-		}
-		return nil
-	case "quiesce":
-		return db.QuiesceViews(ctx)
-	case "antientropy":
-		db.RunAntiEntropy()
-		return nil
+		return c.EndSession()
+
 	case "prune":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: prune VIEW OLDER_THAN_SECONDS")
 		}
-		var secs int
+		var secs int64
 		if _, err := fmt.Sscanf(fields[2], "%d", &secs); err != nil {
 			return err
 		}
-		removed, err := db.PruneView(ctx, fields[1], time.Duration(secs)*time.Second)
+		horizon := time.Now().Add(-time.Duration(secs) * time.Second).UnixMicro()
+		removed, err := c.PruneView(fields[1], horizon)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pruned %d stale rows\n", removed)
+		fmt.Fprintf(w, "pruned %d stale rows\n", removed)
 		return nil
 
 	case "rebuild":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: rebuild VIEW")
 		}
-		return db.RebuildView(ctx, fields[1])
+		return c.RebuildView(fields[1])
 
-	case "drop":
-		if len(fields) != 3 || fields[1] != "view" {
-			return fmt.Errorf("usage: drop view NAME")
-		}
-		return db.DropView(fields[2])
-
-	case "wait":
-		if len(fields) != 3 || fields[1] != "view" {
-			return fmt.Errorf("usage: wait view NAME")
-		}
-		if err := db.WaitViewLive(ctx, fields[2]); err != nil {
+	case "stats":
+		s, err := c.Stats()
+		if err != nil {
 			return err
 		}
-		fmt.Printf("%s is live\n", fields[2])
-		return nil
-
-	case "nodedown", "nodeup":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: %s N", fields[0])
-		}
-		var n int
-		if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil {
+		b, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
 			return err
 		}
-		db.SetNodeDown(n, fields[0] == "nodedown")
+		fmt.Fprintln(w, string(b))
+		fmt.Fprintf(w, "concurrent writes (DVV sibling pairs): %d\n", s.Writes.ConcurrentWrites)
 		return nil
+
+	case "quiesce":
+		return c.Quiesce()
+
+	case "tables", "views", "traces", "antientropy", "drop", "wait", "nodedown", "nodeup":
+		e, ok := c.(*embedded)
+		if !ok {
+			return fmt.Errorf("%s is embedded-only: run mvctl without -addr", fields[0])
+		}
+		return e.local(w, fields)
 	}
 	return fmt.Errorf("unknown command %q (try 'help')", fields[0])
 }
 
-func printRow(row vstore.Row) {
+func printRow(w io.Writer, row vstore.Row) {
 	if len(row) == 0 {
-		fmt.Println("(empty)")
+		fmt.Fprintln(w, "(empty)")
 		return
 	}
 	cols := make([]string, 0, len(row))
@@ -336,5 +341,5 @@ func printRow(row vstore.Row) {
 	for _, c := range cols {
 		parts = append(parts, fmt.Sprintf("%s=%s@%d", c, row[c].Value, row[c].Timestamp))
 	}
-	fmt.Println(strings.Join(parts, " "))
+	fmt.Fprintln(w, strings.Join(parts, " "))
 }

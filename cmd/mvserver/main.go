@@ -1,7 +1,7 @@
 // Command mvserver runs a vstore cluster as a network service: an
 // embedded multi-node eventually consistent record store with
 // materialized views, reachable over the wire protocol (see
-// internal/wire). Pair it with cmd/mvcli or the wire.Client library.
+// internal/wire). Pair it with `mvctl -addr` or the wire.Client library.
 //
 //	mvserver -addr :7654 -nodes 4 -replication 3
 package main

@@ -215,9 +215,6 @@ func (l *LatencySet) Observe(c OpClass, d time.Duration) {
 	l.hists[c].ObserveDuration(d)
 }
 
-// Hist returns the histogram for class c.
-func (l *LatencySet) Hist(c OpClass) *AtomicHist { return &l.hists[c] }
-
 // Snapshot summarizes the histogram for class c. Nil-safe.
 func (l *LatencySet) Snapshot(c OpClass) HistSnapshot {
 	if l == nil {

@@ -76,11 +76,27 @@ func TestMergeIdempotentWithDots(t *testing.T) {
 }
 
 func TestMergeCommutativeWithDots(t *testing.T) {
-	a := stamped("a", 10, 0, 1)
-	b := stamped("b", 10, 1, 1) // timestamp tie → value tie-break
-	ab, ba := Merge(a, b), Merge(b, a)
-	if !ab.Equal(ba) || ab.Dot != ba.Dot || !ab.Ctx.Equal(ba.Ctx) {
-		t.Fatalf("merge not commutative: %+v vs %+v", ab, ba)
+	for _, tc := range []struct {
+		name   string
+		a, b   Cell
+		winner dvv.Dot
+	}{
+		{"value tie-break", stamped("a", 10, 0, 1), stamped("b", 10, 1, 1), dvv.Dot{Node: 1, Seq: 1}},
+		// Same value and timestamp from two coordinators: only the dot
+		// tells the writes apart, and every replica must keep the same.
+		{"dot node tie-break", stamped("v", 10, 2, 1), stamped("v", 10, 0, 9), dvv.Dot{Node: 2, Seq: 1}},
+		{"dot seq tie-break", stamped("v", 10, 1, 3), stamped("v", 10, 1, 4), dvv.Dot{Node: 1, Seq: 4}},
+	} {
+		ab, ba := Merge(tc.a, tc.b), Merge(tc.b, tc.a)
+		if !ab.Equal(ba) || ab.Dot != ba.Dot || !ab.Ctx.Equal(ba.Ctx) {
+			t.Errorf("%s: merge not commutative: %+v vs %+v", tc.name, ab, ba)
+		}
+		if ab.Dot != tc.winner {
+			t.Errorf("%s: merge kept dot %v, want %v", tc.name, ab.Dot, tc.winner)
+		}
+		if tc.a.Wins(tc.a) {
+			t.Errorf("%s: Wins must be irreflexive", tc.name)
+		}
 	}
 }
 

@@ -86,7 +86,10 @@ func (c Cell) Equal(o Cell) bool {
 // deterministically so that all replicas pick the same winner
 // regardless of arrival order: a tombstone beats a live value at the
 // same timestamp, and between two live values the lexicographically
-// larger value wins (the rule Cassandra uses).
+// larger value wins (the rule Cassandra uses). Equal values from
+// different writes fall back to the dot (node, then sequence): a dot
+// is a unique event id, so the order is total and replicas converge on
+// the same dot.
 func (c Cell) Wins(old Cell) bool {
 	if c.TS != old.TS {
 		return c.TS > old.TS
@@ -94,7 +97,13 @@ func (c Cell) Wins(old Cell) bool {
 	if c.Tombstone != old.Tombstone {
 		return c.Tombstone
 	}
-	return bytes.Compare(c.Value, old.Value) > 0
+	if cmp := bytes.Compare(c.Value, old.Value); cmp != 0 {
+		return cmp > 0
+	}
+	if c.Dot.Node != old.Dot.Node {
+		return c.Dot.Node > old.Dot.Node
+	}
+	return c.Dot.Seq > old.Dot.Seq
 }
 
 // Merge returns the LWW winner of a and b; the winner's causal
@@ -322,12 +331,6 @@ func Qualify(baseKey, column string) string {
 	return string(EncodeKey(baseKey, column))
 }
 
-// QualifyPrefix returns the column-name prefix of all cells belonging
-// to base key baseKey within a view row.
-func QualifyPrefix(baseKey string) string {
-	return string(RowPrefix(baseKey))
-}
-
 // Unqualify splits a qualified column name back into (base key,
 // column). ok is false if the name is not a valid qualified name.
 func Unqualify(name string) (baseKey, column string, ok bool) {
@@ -358,13 +361,6 @@ func (vs *VersionSet) Add(c Cell) bool {
 	}
 	vs.cells = append(vs.cells, c)
 	return true
-}
-
-// AddAll inserts every cell of other.
-func (vs *VersionSet) AddAll(cells []Cell) {
-	for _, c := range cells {
-		vs.Add(c)
-	}
 }
 
 // Cells returns the distinct versions collected so far, newest first.

@@ -115,12 +115,8 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rnd }
 // Trace returns the event trace recorded so far.
 func (s *Scheduler) Trace() *Trace { return s.trace }
 
-// Failure returns the first invariant violation (or injected failure),
-// if any.
-func (s *Scheduler) Failure() error { return s.failure }
-
-// FailedInvariant names the invariant behind Failure (empty when the
-// failure came from outside the invariant sweep).
+// FailedInvariant names the invariant behind the first failure
+// (empty when the failure came from outside the invariant sweep).
 func (s *Scheduler) FailedInvariant() string { return s.failedInvariant }
 
 // FailedAt returns the virtual time of the first failure.
@@ -219,9 +215,6 @@ func (s *Scheduler) Go(delay time.Duration, name string, fn func(p *Proc)) {
 		<-p.parked
 	})
 }
-
-// Scheduler returns the process's scheduler.
-func (p *Proc) Scheduler() *Scheduler { return p.s }
 
 // Await parks the process until resolve is called, then returns the
 // resolved value. start runs immediately (still in the process's

@@ -111,9 +111,6 @@ func rowPrefixOf(key []byte) []byte {
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.entries) }
 
-// DataBytes returns the approximate payload size.
-func (t *Table) DataBytes() int64 { return t.dataBytes }
-
 // Entries exposes the table's sorted run without copying. The table is
 // immutable; callers must treat the slice as read-only.
 func (t *Table) Entries() []model.Entry { return t.entries }

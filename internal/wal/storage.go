@@ -611,19 +611,6 @@ func (s *Storage) LogIntentDone(id uint64) error {
 	return nil
 }
 
-// PendingIntents returns the ids currently started but not done
-// (diagnostics and tests).
-func (s *Storage) PendingIntents() []uint64 {
-	s.intentMu.Lock()
-	defer s.intentMu.Unlock()
-	ids := make([]uint64, 0, len(s.pending))
-	for id := range s.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // checkpointIntentsLocked compacts the intent log. Order matters for
 // crash safety: rotate first (old segments intact), re-log pending
 // starts into the new segment, sync, and only then drop old segments.

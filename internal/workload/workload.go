@@ -21,20 +21,13 @@ import (
 // wall clock, not an injected one.
 var wall = clock.Wall
 
-// KeyChooser picks keys for operations.
-type KeyChooser interface {
-	// Next returns the next key using the provided per-client random
-	// source.
-	Next(r *rand.Rand) string
-}
-
 // Uniform picks uniformly from N keys with the given prefix.
 type Uniform struct {
 	N      int
 	Prefix string
 }
 
-// Next implements KeyChooser.
+// Next returns the next key using the per-client random source r.
 func (u Uniform) Next(r *rand.Rand) string {
 	return fmt.Sprintf("%s%08d", u.Prefix, r.Intn(u.N))
 }
@@ -50,7 +43,7 @@ type Zipf struct {
 	zips map[*rand.Rand]*rand.Zipf
 }
 
-// Next implements KeyChooser.
+// Next returns the next key using the per-client random source r.
 func (z *Zipf) Next(r *rand.Rand) string {
 	z.mu.Lock()
 	if z.zips == nil {
@@ -77,7 +70,7 @@ type Range struct {
 	Prefix string
 }
 
-// Next implements KeyChooser.
+// Next returns the next key using the per-client random source r.
 func (g Range) Next(r *rand.Rand) string {
 	if g.Width <= 1 {
 		return fmt.Sprintf("%s%08d", g.Prefix, 0)
